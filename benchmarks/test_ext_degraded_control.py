@@ -19,11 +19,10 @@ plane is a pure upside even when unreliable.
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import run_cubic_fixed, run_phi_cubic, sweep_unavailability
+from repro.experiments import DEGRADED, check_envelope, run_perturbation_sweep, run_phi_cubic
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.simnet import DumbbellConfig
-from repro.transport import CubicParams
 from repro.workload import OnOffConfig
 
 PRESET = ScenarioPreset(
@@ -41,10 +40,6 @@ def _run_all():
     duration = scaled(25.0, 60.0)
     seeds = tuple(range(scaled(2, 6)))
 
-    baseline_runs = [
-        run_cubic_fixed(CubicParams.default(), PRESET, seed, duration)
-        for seed in seeds
-    ]
     practical_runs = [
         run_phi_cubic(
             REFERENCE_POLICY, PRESET, mode=SharingMode.PRACTICAL,
@@ -52,23 +47,26 @@ def _run_all():
         )
         for seed in seeds
     ]
-    baseline = sum(r.metrics.power_l for r in baseline_runs) / len(baseline_runs)
     practical = sum(r.metrics.power_l for r in practical_runs) / len(practical_runs)
 
-    rows = sweep_unavailability(
+    outcome = run_perturbation_sweep(
+        DEGRADED,
         REFERENCE_POLICY,
         PRESET,
-        fractions=FRACTIONS,
+        {"unavailability": FRACTIONS},
         seeds=seeds,
         duration_s=duration,
         outage_period_s=2.0,
         staleness_ttl_s=2.0,
     )
-    return baseline, practical, rows
+    return practical, outcome
 
 
 def test_extension_degraded_control_plane(benchmark, capfd):
-    baseline, practical, rows = run_once(benchmark, _run_all)
+    practical, outcome = run_once(benchmark, _run_all)
+    rows = outcome.rows
+    # The sweep ran the uncoordinated stock-Cubic baseline itself.
+    baseline = rows[0].baseline_power_l["stock"]
 
     with report(capfd, "Extension: Phi power vs. context-server unavailability"):
         print(f"uncoordinated baseline P_l = {baseline:.4f}   "
@@ -77,27 +75,32 @@ def test_extension_degraded_control_plane(benchmark, capfd):
         print(f"{'down':>5s} {'P_l':>9s} {'vs base':>8s} {'delay(ms)':>10s} "
               f"{'thr(Mbps)':>10s} | {'fresh':>6s} {'stale':>6s} {'fallbk':>6s}")
         for row in rows:
-            counts = row.decision_counts
-            print(f"{row.unavailability:>5.2f} {row.mean_power_l:>9.4f} "
+            counts = row.accounting["decision_counts"]
+            print(f"{row.params['unavailability']:>5.2f} {row.mean_power_l:>9.4f} "
                   f"{row.mean_power_l / max(baseline, 1e-9):>7.2f}x "
                   f"{row.mean_delay_ms:>10.1f} {row.mean_throughput_mbps:>10.2f} | "
                   f"{counts.get('fresh', 0):>6d} {counts.get('stale', 0):>6d} "
                   f"{counts.get('fallback', 0):>6d}")
 
-    by_fraction = {row.unavailability: row for row in rows}
+    by_fraction = {
+        row.params["unavailability"]: row.accounting["decision_counts"]
+        for row in rows
+    }
+    power = {row.params["unavailability"]: row.mean_power_l for row in rows}
     # Anchor 1: with the server gone for the whole run every connection
     # falls back to stock Cubic, so power matches the uncoordinated
     # baseline (the ISSUE's +/-5% bound; the runs are in fact identical).
-    assert abs(by_fraction[1.0].mean_power_l - baseline) <= 0.05 * baseline
-    assert by_fraction[1.0].decision_counts.get("fresh", 0) == 0
+    assert abs(power[1.0] - baseline) <= 0.05 * baseline
+    assert by_fraction[1.0].get("fresh", 0) == 0
     # Anchor 2: a healthy channel reproduces practical Phi sharing.
-    assert abs(by_fraction[0.0].mean_power_l - practical) <= 0.05 * practical
-    assert by_fraction[0.0].decision_counts.get("fallback", 0) == 0
+    assert abs(power[0.0] - practical) <= 0.05 * practical
+    assert by_fraction[0.0].get("fallback", 0) == 0
     # Graceful degradation: no unavailability level drops power
     # meaningfully below the uncoordinated floor.
     for row in rows:
         assert row.mean_power_l >= 0.95 * baseline
+    assert check_envelope(outcome, rel_tol=0.05) == []
     # Partial outages really exercise the degraded paths.
-    assert by_fraction[0.5].decision_counts.get("fresh", 0) > 0
-    assert (by_fraction[0.5].decision_counts.get("stale", 0)
-            + by_fraction[0.5].decision_counts.get("fallback", 0)) > 0
+    assert by_fraction[0.5].get("fresh", 0) > 0
+    assert (by_fraction[0.5].get("stale", 0)
+            + by_fraction[0.5].get("fallback", 0)) > 0

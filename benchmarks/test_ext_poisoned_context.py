@@ -18,17 +18,17 @@ corruption severity on the lightly loaded Fig-2a preset:
 A calibration note: stock Cubic's ssthresh floods the queue, so *power*
 (throughput over queueing delay) cannot show inflation harm — crawling
 senders have tiny queues and great power.  The harm axis is
-throughput; the envelope is asserted on both axes (see
-``check_safety_envelope``).
+throughput; the envelope is asserted on both axes (see the ``floors``
+of ``POISON`` and ``check_envelope``).
 """
 
 from bench_common import report, run_once, scaled
 
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
-    check_harm_demonstrated,
-    check_safety_envelope,
-    run_poison_sweep,
+    POISON,
+    check_envelope,
+    run_perturbation_sweep,
 )
 from repro.phi import REFERENCE_POLICY
 
@@ -39,15 +39,17 @@ MODES = ("inflate",)
 def _run_all():
     duration = scaled(30.0, 60.0)
     seeds = tuple(range(scaled(2, 4)))
+    grid = {"severity": SEVERITIES, "byzantine_fraction": (0.0,)}
     common = dict(
-        severities=SEVERITIES, seeds=seeds, modes=MODES,
-        duration_s=duration, parallel=False, collect_telemetry=False,
+        seeds=seeds, modes=MODES, duration_s=duration, collect_telemetry=False,
     )
-    guarded = run_poison_sweep(
-        REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, guarded=True, **common
+    guarded = run_perturbation_sweep(
+        POISON, REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, grid,
+        guarded=True, **common,
     )
-    unguarded = run_poison_sweep(
-        REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, guarded=False, **common
+    unguarded = run_perturbation_sweep(
+        POISON, REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, grid,
+        guarded=False, **common,
     )
     return guarded, unguarded
 
@@ -56,13 +58,14 @@ def _print_rows(rows):
     print(f"{'sev':>5s} {'P_l':>9s} {'vs base':>8s} {'thr(Mbps)':>10s} "
           f"{'vs base':>8s} | {'reject':>6s} {'distr':>6s} {'trust':>6s}")
     for row in rows:
-        print(f"{row.severity:>5.2f} {row.mean_power_l:>9.4f} "
-              f"{row.power_vs_baseline:>7.2f}x "
+        acc = row.accounting
+        print(f"{row.params['severity']:>5.2f} {row.mean_power_l:>9.4f} "
+              f"{row.power_vs('stock'):>7.2f}x "
               f"{row.mean_throughput_mbps:>10.2f} "
-              f"{row.throughput_vs_baseline:>7.2f}x | "
-              f"{sum(row.guard_rejections.values()):>6d} "
-              f"{row.decision_counts.get('distrusted', 0):>6d} "
-              f"{row.mean_trust_score:>6.2f}")
+              f"{row.throughput_vs('stock'):>7.2f}x | "
+              f"{sum(acc['guard_rejections'].values()):>6d} "
+              f"{acc['decision_counts'].get('distrusted', 0):>6d} "
+              f"{acc['trust_score']:>6.2f}")
 
 
 def test_extension_poisoned_context(benchmark, capfd):
@@ -70,8 +73,8 @@ def test_extension_poisoned_context(benchmark, capfd):
 
     with report(capfd, "Extension X6: safety envelope under Byzantine context"):
         base = guarded.rows[0]
-        print(f"uncoordinated baseline: P_l = {base.baseline_power_l:.4f}  "
-              f"thr = {base.baseline_throughput_mbps:.2f} Mbps")
+        print(f"uncoordinated baseline: P_l = {base.baseline_power_l['stock']:.4f}  "
+              f"thr = {base.baseline_throughput_mbps['stock']:.2f} Mbps")
         print()
         print("guarded (robust aggregation + guard + trust):")
         _print_rows(guarded.rows)
@@ -81,21 +84,22 @@ def test_extension_poisoned_context(benchmark, capfd):
 
     # The safety envelope: at every severity the guarded stack stays
     # within 5% of the uncoordinated baseline on power and throughput.
-    assert check_safety_envelope(guarded, rel_tol=0.05) == []
+    assert check_envelope(guarded, rel_tol=0.05) == []
     # At full severity the trust layer has tripped: senders run stock
     # defaults through the DISTRUSTED decision.
     top = guarded.rows[-1]
-    assert top.severity == 1.0
-    assert top.decision_counts.get("distrusted", 0) > 0
-    assert top.mean_trust_score < 0.7
+    assert top.params["severity"] == 1.0
+    assert top.accounting["decision_counts"].get("distrusted", 0) > 0
+    assert top.accounting["trust_score"] < 0.7
 
     # The ablation proves the harness injects real harm: without the
     # defences the same lies drive throughput well below baseline.
-    assert check_harm_demonstrated(unguarded, rel_tol=0.05)
+    assert check_envelope(unguarded, rel_tol=0.05)
     worst = unguarded.rows[-1]
-    assert worst.throughput_vs_baseline < 0.8
+    assert worst.throughput_vs("stock") < 0.8
     # And nothing in the unguarded stack ever fought back.
-    assert all(not row.guard_rejections for row in unguarded.rows)
+    assert all(not row.accounting["guard_rejections"] for row in unguarded.rows)
     assert all(
-        row.decision_counts.get("distrusted", 0) == 0 for row in unguarded.rows
+        row.accounting["decision_counts"].get("distrusted", 0) == 0
+        for row in unguarded.rows
     )

@@ -44,7 +44,7 @@ import glob
 import json
 import sys
 from contextlib import ExitStack
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -58,15 +58,18 @@ from .diagnosis import (
 )
 from .experiments import (
     ALL_PRESETS,
-    check_harm_demonstrated,
-    check_partition_envelope,
-    check_safety_envelope,
+    PARTITION,
+    POISON,
+    Perturbation,
+    PerturbationRow,
+    ScenarioPreset,
+    check_envelope,
+    is_minority_cut,
     run_cubic_fixed,
     run_incremental_deployment,
     run_parameter_sweep,
-    run_partition_sweep,
+    run_perturbation_sweep,
     run_phi_cubic,
-    run_poison_sweep,
 )
 from .flightrec.postmortem import DEFAULT_STALL_THRESHOLD_S, analyze_dump, render_text
 from .ipfix import (
@@ -93,8 +96,7 @@ from .simcheck.oracles import ORACLES, run_oracles
 from .simnet.engine import WatchdogConfig
 from .telemetry.manifest import (
     load_manifest,
-    partition_manifest,
-    poison_manifest,
+    perturbation_manifest,
     run_manifest,
     summarize_manifest,
     sweep_manifest,
@@ -477,25 +479,22 @@ def _int_list(text: str) -> List[int]:
     return values
 
 
-def cmd_poison(args: argparse.Namespace) -> int:
-    from .phi.corruption import CONTEXT_CORRUPTION_MODES
-
-    preset = _preset_or_exit(args.preset)
-    modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
-    unknown = [mode for mode in modes if mode not in CONTEXT_CORRUPTION_MODES]
-    if unknown:
-        print(f"unknown corruption mode(s): {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(CONTEXT_CORRUPTION_MODES))}",
-              file=sys.stderr)
-        return 2
-    guarded = not args.unguarded
-    common = dict(
-        byzantine_fractions=args.byzantine,
-        seeds=args.seeds,
-        modes=modes,
-        guarded=guarded,
-        duration_s=args.duration,
-    )
+def _perturbation_command(
+    args: argparse.Namespace,
+    perturbation: Perturbation,
+    preset: ScenarioPreset,
+    grid: dict,
+    options: dict,
+    title: str,
+    format_row: Callable[[PerturbationRow], str],
+    holds: str,
+    extra_config: Optional[dict] = None,
+) -> int:
+    """The body of the ``poison`` and ``partition`` verbs: sweep, report,
+    and exit 1 on a quarantined point (the envelope cannot be certified
+    over it), a ``--serial-check`` difference, or an envelope violation
+    (under ``--expect-harm``: on an envelope that holds)."""
+    sweep = dict(seeds=args.seeds, duration_s=args.duration, **options)
     with ExitStack() as stack:
         rec = None
         if args.flightrec_out:
@@ -507,54 +506,47 @@ def cmd_poison(args: argparse.Namespace) -> int:
         tele = None
         if _telemetry_wanted(args):
             tele = stack.enter_context(telemetry.use())
-        outcome = run_poison_sweep(
-            REFERENCE_POLICY, preset, args.severities,
-            n_workers=args.workers, parallel=args.workers > 1, **common,
+        outcome = run_perturbation_sweep(
+            perturbation, REFERENCE_POLICY, preset, grid,
+            n_workers=args.workers, **sweep,
         )
         if tele is not None:
-            snapshots = [tele.registry.snapshot()]
-            if outcome.telemetry is not None:
-                snapshots.append(outcome.telemetry)
-            _write_telemetry_outputs(
-                args,
-                tele,
-                poison_manifest(
-                    outcome,
-                    metrics=telemetry.merge_snapshots(snapshots),
-                    extra_config={"expect_harm": args.expect_harm},
-                ),
+            metrics = telemetry.merge_snapshots(
+                [tele.registry.snapshot(), outcome.telemetry or {}]
             )
+            _write_telemetry_outputs(args, tele, perturbation_manifest(
+                outcome, metrics=metrics, extra_config=extra_config,
+            ))
 
-    label = "guarded" if guarded else "UNGUARDED"
-    print(f"poisoned sweep ({label}): preset={preset.name} "
-          f"modes={','.join(modes)} seeds={','.join(map(str, args.seeds))}")
+    print(title)
     if not args.quiet:
         for row in outcome.rows:
-            distrusted = row.decision_counts.get("distrusted", 0)
-            print(f"  sev={row.severity:<5g} byz={row.byzantine_fraction:<5g} "
-                  f"P_l={row.mean_power_l:8.4f} ({row.power_vs_baseline:5.2f}x base)  "
-                  f"thr={row.mean_throughput_mbps:6.2f} Mbps "
-                  f"({row.throughput_vs_baseline:5.2f}x base)  "
-                  f"rejected={sum(row.guard_rejections.values())} "
-                  f"distrusted={distrusted} trust={row.mean_trust_score:.2f}")
+            print(format_row(row))
+    for quarantined in outcome.report.quarantined:
+        print(f"QUARANTINED: {quarantined.describe()}", file=sys.stderr)
+    if outcome.report.quarantined:
+        print("envelope not certified over quarantined points", file=sys.stderr)
+        return 1
 
     if args.serial_check:
-        serial = run_poison_sweep(
-            REFERENCE_POLICY, preset, args.severities,
-            n_workers=1, parallel=False, collect_telemetry=False, **common,
+        serial = run_perturbation_sweep(
+            perturbation, REFERENCE_POLICY, preset, grid,
+            collect_telemetry=False, **sweep,
         )
-        mismatched = sum(
-            1 for mine, theirs in zip(outcome.results, serial.results)
-            if not mine.identical_to(theirs)
-        )
-        if mismatched or len(serial.results) != len(outcome.results):
+        if serial.results != outcome.results:
+            mismatched = sum(
+                mine != theirs
+                for mine, theirs in zip(outcome.results, serial.results)
+            )
             print(f"DETERMINISM VIOLATION: {mismatched} point(s) differ "
-                  f"between serial and parallel poisoned sweeps", file=sys.stderr)
+                  f"between serial and parallel {perturbation.name} sweeps",
+                  file=sys.stderr)
             return 1
         print(f"serial check: all {len(outcome.results)} point(s) bit-identical")
 
-    if args.expect_harm:
-        if not check_harm_demonstrated(outcome, rel_tol=args.tolerance):
+    violations = check_envelope(outcome, rel_tol=args.tolerance)
+    if getattr(args, "expect_harm", False):
+        if not violations:
             print("HARM NOT DEMONSTRATED: no row fell below the baseline "
                   "floor; the corruption harness is not injecting real harm",
                   file=sys.stderr)
@@ -562,19 +554,55 @@ def cmd_poison(args: argparse.Namespace) -> int:
         print("harm demonstrated: corruption drove at least one row below "
               "the uncoordinated baseline")
         return 0
-    violations = check_safety_envelope(outcome, rel_tol=args.tolerance)
     if violations:
         print("SAFETY ENVELOPE VIOLATED:", file=sys.stderr)
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
-        if rec is not None:
-            dumped = rec.maybe_autodump(f"envelope:poison:{len(violations)}")
-            if dumped:
-                print(f"flight recording: {dumped}", file=sys.stderr)
+        reason = f"envelope:{perturbation.name}:{len(violations)}"
+        dumped = rec.maybe_autodump(reason) if rec is not None else None
+        if dumped:
+            print(f"flight recording: {dumped}", file=sys.stderr)
         return 1
-    print(f"safety envelope holds: every row within {args.tolerance:.0%} of "
-          f"the uncoordinated baseline on power and throughput")
+    print(holds)
     return 0
+
+
+def cmd_poison(args: argparse.Namespace) -> int:
+    from .phi.corruption import CONTEXT_CORRUPTION_MODES
+
+    preset = _preset_or_exit(args.preset)
+    modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
+    unknown = [mode for mode in modes if mode not in CONTEXT_CORRUPTION_MODES]
+    if unknown:
+        print(f"unknown corruption mode(s): {', '.join(unknown)}; "
+              f"available: {', '.join(sorted(CONTEXT_CORRUPTION_MODES))}",
+              file=sys.stderr)
+        return 2
+
+    def format_row(row: PerturbationRow) -> str:
+        acc = row.accounting
+        return (f"  sev={row.params['severity']:<5g} "
+                f"byz={row.params['byzantine_fraction']:<5g} "
+                f"P_l={row.mean_power_l:8.4f} "
+                f"({row.power_vs('stock'):5.2f}x base)  "
+                f"thr={row.mean_throughput_mbps:6.2f} Mbps "
+                f"({row.throughput_vs('stock'):5.2f}x base)  "
+                f"rejected={sum(acc['guard_rejections'].values())} "
+                f"distrusted={acc['decision_counts'].get('distrusted', 0)} "
+                f"trust={acc['trust_score']:.2f}")
+
+    label = "UNGUARDED" if args.unguarded else "guarded"
+    return _perturbation_command(
+        args, POISON, preset,
+        {"severity": args.severities, "byzantine_fraction": args.byzantine},
+        {"modes": tuple(modes), "guarded": not args.unguarded},
+        f"poisoned sweep ({label}): preset={preset.name} "
+        f"modes={','.join(modes)} seeds={','.join(map(str, args.seeds))}",
+        format_row,
+        f"safety envelope holds: every row within {args.tolerance:.0%} of "
+        f"the uncoordinated baseline on power and throughput",
+        extra_config={"expect_harm": args.expect_harm},
+    )
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -587,90 +615,36 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print(f"unknown read policy {args.read_policy!r}; available: "
               f"{', '.join(p.value for p in ReadPolicy)}", file=sys.stderr)
         return 2
-    common = dict(
-        heal_times=args.heals,
-        seeds=args.seeds,
-        read_policy=read_policy,
-        partition_start_s=args.partition_start,
-        duration_s=args.duration,
+
+    def format_row(row: PerturbationRow) -> str:
+        n, acc = row.params["n_replicas"], row.accounting
+        n_cut = acc["n_cut"]
+        flag = "minority" if is_minority_cut(row) else (
+            "total" if n_cut == n and n_cut else
+            ("majority" if n_cut else "none")
+        )
+        return (f"  n={n} sev={row.params['severity']:<5g} "
+                f"heal={row.params['heal_s']:<4g} cut={n_cut} ({flag:<8s}) "
+                f"P_l={row.mean_power_l:8.4f} "
+                f"({row.power_vs('stock'):5.2f}x stock, "
+                f"{row.power_vs('degraded'):5.2f}x degraded)  "
+                f"thr={row.mean_throughput_mbps:6.2f} Mbps  "
+                f"fo={acc['failovers']} merges={acc['anti_entropy_merges']} "
+                f"maxdiv={acc['max_divergence']:.3f}")
+
+    return _perturbation_command(
+        args, PARTITION, preset,
+        {"n_replicas": args.replicas, "severity": args.severities,
+         "heal_s": args.heals},
+        {"read_policy": read_policy, "partition_start_s": args.partition_start},
+        f"partition sweep: preset={preset.name} "
+        f"replicas={','.join(map(str, args.replicas))} "
+        f"read={read_policy.value} seeds={','.join(map(str, args.seeds))}",
+        format_row,
+        f"safety envelope holds: every row within {args.tolerance:.0%} of "
+        f"the stock floor; minority partitions within {args.tolerance:.0%} "
+        f"of the single-server-outage baseline",
     )
-    with ExitStack() as stack:
-        rec = None
-        if args.flightrec_out:
-            # Entered before telemetry.use so the metrics scope inherits
-            # the recorder (serial sweeps run in this process).
-            rec = stack.enter_context(
-                flightrec.use(autodump_path=args.flightrec_out)
-            )
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
-        outcome = run_partition_sweep(
-            REFERENCE_POLICY, preset, args.replicas, args.severities,
-            n_workers=args.workers, parallel=args.workers > 1, **common,
-        )
-        if tele is not None:
-            snapshots = [tele.registry.snapshot()]
-            if outcome.telemetry is not None:
-                snapshots.append(outcome.telemetry)
-            _write_telemetry_outputs(
-                args,
-                tele,
-                partition_manifest(
-                    outcome,
-                    metrics=telemetry.merge_snapshots(snapshots),
-                ),
-            )
-
-    print(f"partition sweep: preset={preset.name} "
-          f"replicas={','.join(map(str, args.replicas))} "
-          f"read={read_policy.value} "
-          f"seeds={','.join(map(str, args.seeds))}")
-    if not args.quiet:
-        for row in outcome.rows:
-            flag = "minority" if row.minority else (
-                "total" if row.n_cut == row.n_replicas and row.n_cut else
-                ("majority" if row.n_cut else "none")
-            )
-            print(f"  n={row.n_replicas} sev={row.severity:<5g} "
-                  f"heal={row.heal_s:<4g} cut={row.n_cut} ({flag:<8s}) "
-                  f"P_l={row.mean_power_l:8.4f} "
-                  f"({row.power_vs_stock:5.2f}x stock, "
-                  f"{row.power_vs_degraded:5.2f}x degraded)  "
-                  f"thr={row.mean_throughput_mbps:6.2f} Mbps  "
-                  f"fo={row.failovers} merges={row.anti_entropy_merges} "
-                  f"maxdiv={row.max_divergence:.3f}")
-
-    if args.serial_check:
-        serial = run_partition_sweep(
-            REFERENCE_POLICY, preset, args.replicas, args.severities,
-            n_workers=1, parallel=False, collect_telemetry=False, **common,
-        )
-        mismatched = sum(
-            1 for mine, theirs in zip(outcome.results, serial.results)
-            if not mine.identical_to(theirs)
-        )
-        if mismatched or len(serial.results) != len(outcome.results):
-            print(f"DETERMINISM VIOLATION: {mismatched} point(s) differ "
-                  f"between serial and parallel partition sweeps",
-                  file=sys.stderr)
-            return 1
-        print(f"serial check: all {len(outcome.results)} point(s) bit-identical")
-
-    violations = check_partition_envelope(outcome, rel_tol=args.tolerance)
-    if violations:
-        print("SAFETY ENVELOPE VIOLATED:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        if rec is not None:
-            dumped = rec.maybe_autodump(f"envelope:partition:{len(violations)}")
-            if dumped:
-                print(f"flight recording: {dumped}", file=sys.stderr)
-        return 1
-    print(f"safety envelope holds: every row within {args.tolerance:.0%} of "
-          f"the stock floor; minority partitions within {args.tolerance:.0%} "
-          f"of the single-server-outage baseline")
-    return 0
 
 
 def cmd_postmortem(args: argparse.Namespace) -> int:

@@ -15,9 +15,9 @@ Phi-practical (0% down) and the uncoordinated baseline (100% down).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from ..metrics.summary import RunMetrics, summarize_runs
+from ..metrics.summary import RunMetrics
 from ..phi.channel import (
     ChannelConfig,
     ChannelStats,
@@ -28,13 +28,8 @@ from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer
 from ..transport.cubic import CubicParams
-from .dumbbell import (
-    ExperimentEnv,
-    ScenarioResult,
-    run_long_running_scenario,
-    run_onoff_scenario,
-    uniform_slots,
-)
+from .dumbbell import ExperimentEnv, ScenarioResult, run_preset_scenario, uniform_slots
+from .perturbation import SUM, Floor, Perturbation
 from .scenarios import ScenarioPreset
 
 
@@ -153,21 +148,9 @@ def run_degraded_phi_cubic(
             client, policy, now=lambda: env.sim.now, fallback_params=fallback_params
         )
 
-    if preset.workload is None:
-        result = run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-        )
-    else:
-        result = run_onoff_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            workload=preset.workload,
-            duration_s=duration,
-            seed=seed,
-        )
+    result = run_preset_scenario(
+        uniform_slots(build), preset, seed=seed, duration_s=duration
+    )
     client: ResilientContextClient = holders["client"]
     channel: ControlChannel = holders["channel"]
     server: ContextServer = holders["server"]
@@ -181,55 +164,12 @@ def run_degraded_phi_cubic(
     )
 
 
-@dataclass
-class DegradedSweepRow:
-    """Aggregated outcome of one unavailability fraction across seeds."""
-
-    unavailability: float
-    mean_power_l: float
-    mean_throughput_mbps: float
-    mean_delay_ms: float
-    decision_counts: Dict[str, int]
-
-
-def sweep_unavailability(
-    policy: PolicyTable,
-    preset: ScenarioPreset,
-    fractions: Sequence[float],
-    *,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: Optional[float] = None,
-    **kwargs,
-) -> List[DegradedSweepRow]:
-    """The graceful-degradation curve: power vs. server unavailability.
-
-    Extra keyword arguments pass through to :func:`run_degraded_phi_cubic`.
-    """
-    rows: List[DegradedSweepRow] = []
-    for fraction in fractions:
-        runs = [
-            run_degraded_phi_cubic(
-                policy,
-                preset,
-                unavailability=fraction,
-                seed=seed,
-                duration_s=duration_s,
-                **kwargs,
-            )
-            for seed in seeds
-        ]
-        decisions: Dict[str, int] = {}
-        for run in runs:
-            for key, count in run.decision_counts.items():
-                decisions[key] = decisions.get(key, 0) + count
-        aggregate = summarize_runs([run.metrics for run in runs])
-        rows.append(
-            DegradedSweepRow(
-                unavailability=fraction,
-                mean_power_l=aggregate.mean_power_l,
-                mean_throughput_mbps=aggregate.mean_throughput_mbps,
-                mean_delay_ms=aggregate.mean_queueing_delay_ms,
-                decision_counts=decisions,
-            )
-        )
-    return rows
+#: The X4 sweep: server unavailability, held to the stock-Cubic floor on
+#: power (an absent server can only cost the gain, never more).
+DEGRADED = Perturbation(
+    name="degraded",
+    run=run_degraded_phi_cubic,
+    axes=("unavailability",),
+    accounting={"decision_counts": SUM, "pending_reports": SUM, "leases_expired": SUM},
+    floors=(Floor("stock", axes=("power",)),),
+)

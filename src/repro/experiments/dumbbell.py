@@ -281,6 +281,47 @@ def run_long_running_scenario(
     return result
 
 
+def run_preset_scenario(
+    factory_for_slot: FactoryForSlot,
+    preset,
+    *,
+    seed: int = 0,
+    duration_s: Optional[float] = None,
+    slot_order: Optional[Sequence[int]] = None,
+    monitor_period_s: float = 0.1,
+    **options: Any,
+) -> ScenarioResult:
+    """Run a :class:`~repro.experiments.scenarios.ScenarioPreset`.
+
+    Presets with an on/off workload go to :func:`run_onoff_scenario`;
+    presets without one (persistent bulk flows) go to
+    :func:`run_long_running_scenario`.  ``duration_s`` defaults to the
+    preset's; ``options`` (watchdog, checked, check_report, profile,
+    fault_hook) pass through to either runner.
+    """
+    duration = duration_s if duration_s is not None else preset.duration_s
+    if preset.workload is None:
+        if slot_order is not None:
+            raise ValueError("slot_order applies to on/off workloads only")
+        return run_long_running_scenario(
+            factory_for_slot,
+            config=preset.config,
+            duration_s=duration,
+            seed=seed,
+            **options,
+        )
+    return run_onoff_scenario(
+        factory_for_slot,
+        config=preset.config,
+        workload=preset.workload,
+        duration_s=duration,
+        seed=seed,
+        slot_order=slot_order,
+        monitor_period_s=monitor_period_s,
+        **options,
+    )
+
+
 def _summarize(
     env: ExperimentEnv,
     per_sender: List[List[ConnectionStats]],

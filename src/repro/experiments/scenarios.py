@@ -29,8 +29,8 @@ from ..workload.onoff import OnOffConfig
 from .dumbbell import (
     ExperimentEnv,
     ScenarioResult,
-    run_long_running_scenario,
     run_onoff_scenario,
+    run_preset_scenario,
     uniform_slots,
 )
 
@@ -135,28 +135,11 @@ def run_cubic_fixed(
     ``checked``/``check_report``/``slot_order`` feed the simcheck
     invariant layer and oracles (see :mod:`repro.simcheck`).
     """
-    slots = uniform_slots(lambda env: plain_cubic_factory(params))
-    duration = duration_s if duration_s is not None else preset.duration_s
-    if preset.workload is None:
-        if slot_order is not None:
-            raise ValueError("slot_order applies to on/off workloads only")
-        return run_long_running_scenario(
-            slots,
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-            watchdog=watchdog,
-            checked=checked,
-            check_report=check_report,
-            profile=profile,
-            fault_hook=fault_hook,
-        )
-    return run_onoff_scenario(
-        slots,
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration,
+    return run_preset_scenario(
+        uniform_slots(lambda env: plain_cubic_factory(params)),
+        preset,
         seed=seed,
+        duration_s=duration_s,
         watchdog=watchdog,
         checked=checked,
         check_report=check_report,
@@ -215,21 +198,11 @@ def run_phi_cubic(
             source = ContextServer(env.sim, env.bottleneck_capacity_bps)
         return phi_cubic_factory(source, policy, now=lambda: env.sim.now)
 
-    duration = duration_s if duration_s is not None else preset.duration_s
-    if preset.workload is None:
-        return run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-            profile=profile,
-        )
-    return run_onoff_scenario(
+    return run_preset_scenario(
         uniform_slots(build),
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration,
+        preset,
         seed=seed,
+        duration_s=duration_s,
         profile=profile,
     )
 

@@ -140,7 +140,7 @@ class QuarantinedPoint:
     """A point given up on, with its full failure history."""
 
     index: int
-    point: "object"  # SweepPoint; untyped to avoid an import cycle
+    point: "object"  # any point type the supervisor was handed
     attempts: int
     failures: Tuple[PointFailure, ...]
 
@@ -150,8 +150,10 @@ class QuarantinedPoint:
 
     def describe(self) -> str:
         last = self.last_failure
+        params = getattr(self.point, "params", self.point)
+        seed = getattr(self.point, "seed", None)
         return (
-            f"point #{self.index} ({self.point.params}, seed={self.point.seed}) "
+            f"point #{self.index} ({params}, seed={seed}) "
             f"quarantined after {self.attempts} attempt(s): "
             f"{last.kind}: {last.message}"
         )

@@ -25,6 +25,8 @@ import json
 import os
 import subprocess
 import time as _time
+from dataclasses import asdict, is_dataclass
+from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .registry import histogram_percentile
@@ -35,8 +37,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "git_describe",
     "load_manifest",
-    "partition_manifest",
-    "poison_manifest",
+    "perturbation_manifest",
     "run_manifest",
     "summarize_manifest",
     "sweep_manifest",
@@ -242,220 +243,106 @@ def run_manifest(
     return manifest
 
 
-def poison_manifest(
+def perturbation_manifest(
     outcome,
     *,
     metrics: Optional[Dict[str, Any]] = None,
-    command: str = "poison",
     extra_config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a manifest from a poisoned-context sweep outcome.
+    """Build a manifest from a perturbation-sweep outcome (X4/X6/X7).
 
-    Besides the usual per-point transport metrics, every point carries
-    the defence stack's own accounting — guard rejections by reason,
-    decision counts (including ``distrusted``), the final trust score —
-    so the manifest alone answers "which lies were caught, and by which
-    layer".
+    The command is the perturbation's name.  Grid points go to
+    ``points`` and baseline runs to ``baselines``, each with the
+    supervisor's provenance (retries, failure history) and the
+    perturbation's own accounting; points given up on go to
+    ``quarantined``.
     """
     spec = outcome.spec
+    name = spec.perturbation.name
+    grid_points = [p for p in outcome.points if p.baseline is None]
+    duration_s = spec.preset.duration_s if spec.duration_s is None else spec.duration_s
     config = {
         "preset": spec.preset.name,
         "topology": _plain_config(spec.preset.config),
         "workload": _plain_config(spec.preset.workload),
-        "duration_s": float(
-            spec.duration_s
-            if spec.duration_s is not None
-            else spec.preset.duration_s
-        ),
-        "modes": list(spec.modes),
-        "guarded": spec.guarded,
-        "staleness_ttl_s": spec.staleness_ttl_s,
-        "n_points": len(outcome.results),
+        "duration_s": float(duration_s),
+        **_plain(dict(spec.options)),
+        "n_points": len(grid_points),
+        **(extra_config or {}),
     }
-    if extra_config:
-        config.update(extra_config)
     manifest = _base_manifest(
-        command,
+        name,
         config,
-        {"seeds": sorted({r.seed for r in outcome.results})},
+        {"seeds": sorted({p.seed for p in grid_points})},
         metrics if metrics is not None else outcome.telemetry,
     )
-    for point in outcome.results:
-        manifest["points"].append(
-            {
-                "key": _content_hash(
-                    (point.severity, point.byzantine_fraction, point.seed)
-                ),
-                "params": {
-                    "severity": point.severity,
-                    "byzantine_fraction": point.byzantine_fraction,
-                },
-                "seed": point.seed,
-                "run_index": 0,
-                "status": "computed",
-                "wall_seconds": point.wall_seconds,
-                "events_processed": point.events_processed,
-                "retries": 0,
-                "failures": [],
-                "metrics": {
-                    "throughput_mbps": point.metrics.throughput_mbps,
-                    "queueing_delay_ms": point.metrics.queueing_delay_ms,
-                    "loss_rate": point.metrics.loss_rate,
-                    "power_l": point.metrics.power_l,
-                },
-                "defence": {
-                    "decision_counts": dict(point.decision_counts),
-                    "guard_rejections": dict(point.guard_rejections),
-                    "reports_rejected": point.reports_rejected,
-                    "contexts_corrupted": point.contexts_corrupted,
-                    "reports_poisoned": point.reports_poisoned,
-                    "trust_score": point.trust_score,
-                    "distrust_entries": point.distrust_entries,
-                },
-            }
-        )
-    decisions: Dict[str, int] = {}
-    rejections: Dict[str, int] = {}
-    for point in outcome.results:
-        for key, count in point.decision_counts.items():
-            decisions[key] = decisions.get(key, 0) + count
-        for key, count in point.guard_rejections.items():
-            rejections[key] = rejections.get(key, 0) + count
+
+    def identity(point) -> Dict[str, Any]:
+        return {
+            "params": _plain(dict(point.params)),
+            "baseline": point.baseline,
+            "seed": point.seed,
+            "run_index": 0,
+        }
+
+    report = outcome.report
+    manifest["baselines"] = []
+    for index, result in outcome.completed.items():
+        point = result.point
+        failures = report.failure_history.get(index, ())
+        manifest["points" if point.baseline is None else "baselines"].append({
+            "key": _content_hash(
+                (name, point.baseline, sorted(point.params.items()), point.seed)
+            ),
+            **identity(point),
+            "status": "computed",
+            "wall_seconds": result.wall_seconds,
+            "events_processed": result.events_processed,
+            "retries": len(failures),
+            "failures": _failure_dicts(failures),
+            "metrics": {
+                "throughput_mbps": result.metrics.throughput_mbps,
+                "queueing_delay_ms": result.metrics.queueing_delay_ms,
+                "loss_rate": result.metrics.loss_rate,
+                "power_l": result.metrics.power_l,
+            },
+            "accounting": _plain(result.accounting),
+        })
+    for quarantined in report.quarantined:
+        manifest["quarantined"].append({
+            "index": quarantined.index,
+            **identity(quarantined.point),
+            "attempts": quarantined.attempts,
+            "failures": _failure_dicts(quarantined.failures),
+        })
+    grid = outcome.grid_results
     manifest["totals"] = {
-        "points": len(outcome.results),
-        "total_events": sum(p.events_processed for p in outcome.results),
-        "decision_counts": decisions,
-        "guard_rejections": rejections,
-        "reports_rejected": sum(p.reports_rejected for p in outcome.results),
-        "contexts_corrupted": sum(p.contexts_corrupted for p in outcome.results),
-        "reports_poisoned": sum(p.reports_poisoned for p in outcome.results),
-        "distrust_entries": sum(p.distrust_entries for p in outcome.results),
-        "baseline_power_by_seed": {
-            str(seed): metrics_.power_l
-            for seed, metrics_ in sorted(outcome.baseline_by_seed.items())
-        },
-        "baseline_throughput_by_seed": {
-            str(seed): metrics_.throughput_mbps
-            for seed, metrics_ in sorted(outcome.baseline_by_seed.items())
-        },
+        "points": len(grid),
+        "baselines": len(manifest["baselines"]),
+        "retries": report.retries,
+        "quarantined": len(report.quarantined),
+        "total_events": sum(r.events_processed for r in grid),
+        **(_plain(outcome.accounting_totals()) if grid else {}),
     }
     return manifest
 
 
-def partition_manifest(
-    outcome,
-    *,
-    metrics: Optional[Dict[str, Any]] = None,
-    command: str = "partition",
-    extra_config: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Build a manifest from a partitioned-control-plane sweep outcome.
-
-    Besides transport metrics, every point carries the replication
-    stack's accounting — failover and anti-entropy counts, divergence
-    extrema, decision counts — so the manifest alone answers "which
-    partitions were survived, and at what replication cost".
-    """
-    spec = outcome.spec
-    config = {
-        "preset": spec.preset.name,
-        "topology": _plain_config(spec.preset.config),
-        "workload": _plain_config(spec.preset.workload),
-        "duration_s": float(
-            spec.duration_s
-            if spec.duration_s is not None
-            else spec.preset.duration_s
-        ),
-        "read_policy": spec.read_policy.value,
-        "partition_start_s": spec.partition_start_s,
-        "staleness_ttl_s": spec.staleness_ttl_s,
-        "anti_entropy_period_s": spec.anti_entropy_period_s,
-        "n_points": len(outcome.results),
-    }
-    if extra_config:
-        config.update(extra_config)
-    manifest = _base_manifest(
-        command,
-        config,
-        {"seeds": sorted({r.seed for r in outcome.results})},
-        metrics if metrics is not None else outcome.telemetry,
-    )
-    for point in outcome.results:
-        manifest["points"].append(
-            {
-                "key": _content_hash(
-                    (point.n_replicas, point.severity, point.heal_s, point.seed)
-                ),
-                "params": {
-                    "n_replicas": point.n_replicas,
-                    "severity": point.severity,
-                    "heal_s": point.heal_s,
-                    "n_cut": point.n_cut,
-                },
-                "seed": point.seed,
-                "run_index": 0,
-                "status": "computed",
-                "wall_seconds": point.wall_seconds,
-                "events_processed": point.events_processed,
-                "retries": 0,
-                "failures": [],
-                "metrics": {
-                    "throughput_mbps": point.metrics.throughput_mbps,
-                    "queueing_delay_ms": point.metrics.queueing_delay_ms,
-                    "loss_rate": point.metrics.loss_rate,
-                    "power_l": point.metrics.power_l,
-                },
-                "replication": {
-                    "decision_counts": dict(point.decision_counts),
-                    "failovers": point.failovers,
-                    "fast_failures": point.fast_failures,
-                    "anti_entropy_merges": point.anti_entropy_merges,
-                    "reports_replicated": point.reports_replicated,
-                    "quorum_rejections": point.quorum_rejections,
-                    "final_divergence": point.final_divergence,
-                    "max_divergence": point.max_divergence,
-                },
-            }
-        )
-    decisions: Dict[str, int] = {}
-    for point in outcome.results:
-        for key, count in point.decision_counts.items():
-            decisions[key] = decisions.get(key, 0) + count
-    manifest["totals"] = {
-        "points": len(outcome.results),
-        "total_events": sum(p.events_processed for p in outcome.results),
-        "decision_counts": decisions,
-        "failovers": sum(p.failovers for p in outcome.results),
-        "fast_failures": sum(p.fast_failures for p in outcome.results),
-        "anti_entropy_merges": sum(
-            p.anti_entropy_merges for p in outcome.results
-        ),
-        "reports_replicated": sum(
-            p.reports_replicated for p in outcome.results
-        ),
-        "quorum_rejections": sum(p.quorum_rejections for p in outcome.results),
-        "max_divergence": max(
-            (p.max_divergence for p in outcome.results), default=0.0
-        ),
-        "stock_power_by_seed": {
-            str(seed): metrics_.power_l
-            for seed, metrics_ in sorted(outcome.stock_by_seed.items())
-        },
-        "degraded_power_by_heal_seed": {
-            f"{heal:g}/{seed}": metrics_.power_l
-            for (heal, seed), metrics_ in sorted(
-                outcome.degraded_by_heal_seed.items()
-            )
-        },
-    }
-    return manifest
+def _plain(value: Any) -> Any:
+    """JSON-ready form of run options and accounting values."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return _plain_config(value)
+    return value
 
 
 def _plain_config(config) -> Optional[Dict[str, Any]]:
     if config is None:
         return None
-    from dataclasses import asdict, is_dataclass
-
     if is_dataclass(config) and not isinstance(config, type):
         return {k: v for k, v in sorted(asdict(config).items())}
     return dict(config)
@@ -525,20 +412,25 @@ def validate_manifest(manifest: Any) -> List[str]:
                     f"histogram {key!r}: {len(counts)} buckets for "
                     f"{len(bounds)} bounds (want bounds+1)"
                 )
-    points = manifest.get("points")
-    if isinstance(points, list):
+    # Perturbation manifests carry their baseline runs as a second list.
+    for section in ("points", "baselines"):
+        points = manifest.get(section)
+        if not isinstance(points, list):
+            if section == "baselines" and points is not None:
+                errors.append("'baselines' is not a list")
+            continue
         for index, point in enumerate(points):
             if not isinstance(point, dict):
-                errors.append(f"points[{index}] is not an object")
+                errors.append(f"{section}[{index}] is not an object")
                 continue
             for key in ("key", "seed", "status", "retries", "failures"):
                 if key not in point:
-                    errors.append(f"points[{index}] missing {key!r}")
+                    errors.append(f"{section}[{index}] missing {key!r}")
             if point.get("status") not in (
                 "computed", "cached", "resumed", "quarantined", None
             ):
                 errors.append(
-                    f"points[{index}] has unknown status {point.get('status')!r}"
+                    f"{section}[{index}] has unknown status {point.get('status')!r}"
                 )
     return errors
 

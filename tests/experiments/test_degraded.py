@@ -3,26 +3,19 @@
 import pytest
 
 from repro.experiments import (
+    DEGRADED,
     run_cubic_fixed,
     run_degraded_phi_cubic,
+    run_perturbation_sweep,
     run_phi_cubic,
     schedule_unavailability,
-    sweep_unavailability,
 )
-from repro.experiments.scenarios import ScenarioPreset
 from repro.phi import REFERENCE_POLICY, ChannelConfig, ControlChannel, SharingMode
 from repro.phi.server import ContextServer
-from repro.simnet import DumbbellConfig, Simulator
+from repro.simnet import Simulator
 from repro.transport import CubicParams
-from repro.workload import OnOffConfig
 
-PRESET = ScenarioPreset(
-    name="degraded-mini",
-    config=DumbbellConfig(n_senders=4),
-    workload=OnOffConfig(mean_on_bytes=200_000, mean_off_s=0.5),
-    duration_s=10.0,
-    description="small degraded-control-plane smoke scenario",
-)
+from .conftest import DEGRADED_MINI as PRESET
 
 
 class TestScheduleUnavailability:
@@ -126,12 +119,16 @@ class TestDegradedRuns:
         assert degraded.pending_reports <= degraded.decision_counts["fallback"]
 
     def test_sweep_rows_cover_fractions(self):
-        rows = sweep_unavailability(
+        outcome = run_perturbation_sweep(
+            DEGRADED,
             REFERENCE_POLICY,
             PRESET,
-            fractions=(0.0, 1.0),
+            {"unavailability": (0.0, 1.0)},
             seeds=(3,),
         )
-        assert [row.unavailability for row in rows] == [0.0, 1.0]
+        rows = outcome.rows
+        assert [row.params["unavailability"] for row in rows] == [0.0, 1.0]
         assert all(row.mean_power_l > 0 for row in rows)
-        assert rows[1].decision_counts["fresh"] == 0
+        assert rows[1].accounting["decision_counts"]["fresh"] == 0
+        # Fully down is exactly the stock baseline the sweep ran itself.
+        assert rows[1].power_vs("stock") == 1.0

@@ -4,26 +4,18 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.partitioned import (
-    PartitionSweepRow,
-    check_partition_envelope,
+    PARTITION,
+    is_minority_cut,
     partition_indices,
-    run_partition_sweep,
     run_partitioned_phi_cubic,
 )
-from repro.experiments.scenarios import ScenarioPreset
+from repro.experiments.perturbation import check_envelope, run_perturbation_sweep
 from repro.phi.deployment import DeploymentMode
 from repro.phi.policy import REFERENCE_POLICY
-from repro.simnet import DumbbellConfig
-from repro.telemetry.manifest import partition_manifest, validate_manifest
-from repro.workload import OnOffConfig
+from repro.telemetry.manifest import perturbation_manifest, validate_manifest
 
-FAST = ScenarioPreset(
-    name="partition-mini",
-    config=DumbbellConfig(n_senders=4),
-    workload=OnOffConfig(mean_on_bytes=200_000, mean_off_s=0.5),
-    duration_s=25.0,
-    description="small partition-tolerance smoke scenario",
-)
+from .conftest import PARTITION_MINI as FAST
+from .conftest import envelope_outcome, envelope_row
 
 DURATION = 25.0
 START = 10.0  # past the staleness TTL — see the calibration caveat
@@ -94,125 +86,88 @@ class TestMinorityPartitionRun:
         assert run.decision_counts.get("fallback", 0) > 0
 
 
+def minority_sweep(**kwargs):
+    return run_perturbation_sweep(
+        PARTITION, REFERENCE_POLICY, FAST,
+        {"n_replicas": (3,), "severity": (0.34,), "heal_s": (8.0,)},
+        seeds=(0,), partition_start_s=START, duration_s=DURATION, **kwargs,
+    )
+
+
 @pytest.mark.partition
 class TestSweepDeterminism:
-    def test_serial_and_parallel_bit_identical(self):
-        kwargs = dict(
-            replica_counts=(1, 3), severities=(0.34,), heal_times=(8.0,),
-            seeds=(0,), partition_start_s=START, duration_s=DURATION,
-            collect_telemetry=False,
-        )
-        serial = run_partition_sweep(
-            REFERENCE_POLICY, FAST, parallel=False, **kwargs
-        )
-        parallel = run_partition_sweep(
-            REFERENCE_POLICY, FAST, n_workers=2, **kwargs
-        )
-        assert len(serial.results) == len(parallel.results) == 2
-        for mine, theirs in zip(serial.results, parallel.results):
-            assert mine.identical_to(theirs)
-
     def test_sweep_telemetry_and_manifest(self):
         with telemetry.use():
-            outcome = run_partition_sweep(
-                REFERENCE_POLICY, FAST,
-                replica_counts=(3,), severities=(0.34,), heal_times=(8.0,),
-                seeds=(0,), partition_start_s=START, duration_s=DURATION,
-                parallel=False, collect_telemetry=True,
-            )
+            outcome = minority_sweep(collect_telemetry=True)
         counters = outcome.telemetry["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
-        manifest = partition_manifest(outcome)
+        manifest = perturbation_manifest(outcome)
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "partition"
         point = manifest["points"][0]
-        assert point["replication"]["failovers"] >= 1
-        assert "stock_power_by_seed" in manifest["totals"]
-        assert "degraded_power_by_heal_seed" in manifest["totals"]
+        assert point["accounting"]["failovers"] >= 1
+        baselines = {(b["baseline"], b["params"].get("heal_s")) for b in manifest["baselines"]}
+        assert baselines == {("stock", None), ("degraded", 8.0)}
 
     def test_minority_row_meets_both_floors(self):
-        outcome = run_partition_sweep(
-            REFERENCE_POLICY, FAST,
-            replica_counts=(3,), severities=(0.34,), heal_times=(8.0,),
-            seeds=(0,), partition_start_s=START, duration_s=DURATION,
-            parallel=False,
-        )
-        assert check_partition_envelope(outcome, rel_tol=0.05) == []
+        outcome = minority_sweep()
+        assert check_envelope(outcome, rel_tol=0.05) == []
         (row,) = outcome.rows
-        assert row.minority
-        assert row.power_vs_degraded >= 0.95
-        assert row.throughput_vs_degraded >= 0.95
+        assert is_minority_cut(row)
+        assert row.power_vs("degraded") >= 0.95
+        assert row.throughput_vs("degraded") >= 0.95
 
 
 def row(
     power=1.0, tput=1.0, *, stock_power=1.0, stock_tput=1.0,
     degraded_power=0.8, degraded_tput=0.9, n_replicas=3, minority=True,
 ):
-    return PartitionSweepRow(
-        n_replicas=n_replicas,
-        severity=0.34,
-        heal_s=8.0,
+    return envelope_row(
+        {"n_replicas": n_replicas, "severity": 0.34, "heal_s": 8.0},
+        power, tput,
+        baselines={
+            "stock": (stock_power, stock_tput),
+            "degraded": (degraded_power, degraded_tput),
+        },
         n_cut=1 if minority else n_replicas,
-        minority=minority,
-        mean_power_l=power,
-        mean_throughput_mbps=tput,
-        mean_delay_ms=1.0,
-        stock_power_l=stock_power,
-        stock_throughput_mbps=stock_tput,
-        degraded_power_l=degraded_power,
-        degraded_throughput_mbps=degraded_tput,
-        decision_counts={},
-        failovers=0,
-        anti_entropy_merges=0,
-        quorum_rejections=0,
-        max_divergence=0.0,
     )
 
 
-class FakeOutcome:
-    def __init__(self, rows):
-        self.rows = rows
+def violations(*rows):
+    return check_envelope(envelope_outcome(PARTITION, rows), rel_tol=0.05)
 
 
 class TestEnvelopeChecker:
+    """X7 holds every row to the stock floor and minority cuts of a
+    multi-replica plane to the degraded floor too."""
+
     def test_holds_within_tolerance(self):
-        outcome = FakeOutcome([row(0.97, 0.96)])
-        assert check_partition_envelope(outcome, rel_tol=0.05) == []
+        assert violations(row(0.97, 0.96)) == []
 
     def test_stock_power_floor(self):
-        outcome = FakeOutcome([row(0.90, 1.0, minority=False)])
-        violations = check_partition_envelope(outcome, rel_tol=0.05)
-        assert len(violations) == 1
-        assert "stock floor" in violations[0] and "power" in violations[0]
+        found = violations(row(0.90, 1.0, minority=False))
+        assert len(found) == 1
+        assert "stock floor" in found[0] and "power" in found[0]
 
     def test_stock_throughput_floor(self):
-        outcome = FakeOutcome([row(1.0, 0.90, minority=False)])
-        violations = check_partition_envelope(outcome, rel_tol=0.05)
-        assert len(violations) == 1
-        assert "throughput" in violations[0]
+        found = violations(row(1.0, 0.90, minority=False))
+        assert len(found) == 1
+        assert "throughput" in found[0]
 
     def test_degraded_floor_only_for_minority_multireplica(self):
         # Above stock but below degraded: flagged only when the cut is a
         # minority of a multi-replica plane.
         weak = dict(power=0.97, tput=0.97, degraded_power=1.1, degraded_tput=1.1)
-        flagged = check_partition_envelope(
-            FakeOutcome([row(**weak, minority=True)]), rel_tol=0.05
-        )
+        flagged = violations(row(**weak, minority=True))
         assert len(flagged) == 2
         assert all("degraded floor" in v for v in flagged)
-        spared = check_partition_envelope(
-            FakeOutcome([row(**weak, minority=False)]), rel_tol=0.05
-        )
-        assert spared == []
-        single = check_partition_envelope(
-            FakeOutcome([row(**weak, n_replicas=1, minority=True)]),
-            rel_tol=0.05,
-        )
-        assert single == []
+        assert violations(row(**weak, minority=False)) == []
+        # One replica, cut: a total outage, never a minority.
+        assert violations(row(**weak, n_replicas=1, minority=True)) == []
 
     def test_ratio_properties(self):
         r = row(2.0, 1.2, stock_power=1.0, degraded_power=0.8)
-        assert r.power_vs_stock == pytest.approx(2.0)
-        assert r.power_vs_degraded == pytest.approx(2.5)
+        assert r.power_vs("stock") == pytest.approx(2.0)
+        assert r.power_vs("degraded") == pytest.approx(2.5)
         degenerate = row(1.0, 1.0, stock_power=0.0)
-        assert degenerate.power_vs_stock == float("inf")
+        assert degenerate.power_vs("stock") == float("inf")

@@ -3,17 +3,14 @@
 import pytest
 
 from repro import telemetry
-from repro.experiments.poisoned import (
-    PoisonSweepRow,
-    check_harm_demonstrated,
-    check_safety_envelope,
-    run_poison_sweep,
-    run_poisoned_phi_cubic,
-)
+from repro.experiments.perturbation import check_envelope, run_perturbation_sweep
+from repro.experiments.poisoned import POISON, run_poisoned_phi_cubic
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
 from repro.phi.policy import REFERENCE_POLICY
-from repro.telemetry.manifest import poison_manifest, validate_manifest
+from repro.telemetry.manifest import perturbation_manifest, validate_manifest
 from repro.transport.cubic import CubicParams
+
+from .conftest import envelope_outcome, envelope_row
 
 DURATION = 8.0
 
@@ -80,90 +77,61 @@ class TestUnguardedRun:
 
 @pytest.mark.byzantine
 class TestSweepDeterminism:
-    def test_serial_and_parallel_bit_identical(self):
-        kwargs = dict(
-            severities=(0.0, 1.0), seeds=(0,), modes=("garbage",),
-            duration_s=DURATION, collect_telemetry=False,
-        )
-        serial = run_poison_sweep(
-            REFERENCE_POLICY, TABLE3_REMY, parallel=False, **kwargs
-        )
-        parallel = run_poison_sweep(
-            REFERENCE_POLICY, TABLE3_REMY, n_workers=2, **kwargs
-        )
-        assert len(serial.results) == len(parallel.results) == 2
-        for mine, theirs in zip(serial.results, parallel.results):
-            assert mine.identical_to(theirs)
-
     def test_sweep_telemetry_and_manifest(self):
         with telemetry.use():
-            outcome = run_poison_sweep(
-                REFERENCE_POLICY, TABLE3_REMY,
-                severities=(1.0,), seeds=(0,), modes=("garbage",),
-                duration_s=DURATION, parallel=False, collect_telemetry=True,
+            outcome = run_perturbation_sweep(
+                POISON, REFERENCE_POLICY, TABLE3_REMY,
+                {"severity": (1.0,), "byzantine_fraction": (0.0,)},
+                seeds=(0,), modes=("garbage",), duration_s=DURATION,
+                collect_telemetry=True,
             )
         counters = outcome.telemetry["counters"]
         assert any("phi.guard_rejections" in key for key in counters)
-        manifest = poison_manifest(outcome)
+        manifest = perturbation_manifest(outcome)
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "poison"
         point = manifest["points"][0]
-        assert point["defence"]["guard_rejections"]
+        assert point["accounting"]["guard_rejections"]
         assert "decision_counts" in manifest["totals"]
-        assert "baseline_power_by_seed" in manifest["totals"]
+        assert [b["baseline"] for b in manifest["baselines"]] == ["stock"]
 
 
 def row(power=1.0, tput=1.0, *, base_power=1.0, base_tput=1.0, severity=0.5):
-    return PoisonSweepRow(
-        severity=severity,
-        byzantine_fraction=0.0,
-        mean_power_l=power,
-        mean_throughput_mbps=tput,
-        mean_delay_ms=1.0,
-        baseline_power_l=base_power,
-        baseline_throughput_mbps=base_tput,
-        decision_counts={},
-        guard_rejections={},
-        reports_rejected=0,
-        mean_trust_score=1.0,
-        distrust_entries=0,
+    return envelope_row(
+        {"severity": severity, "byzantine_fraction": 0.0}, power, tput,
+        baselines={"stock": (base_power, base_tput)},
     )
 
 
-class FakeOutcome:
-    def __init__(self, rows):
-        self.rows = rows
+def violations(*rows):
+    return check_envelope(envelope_outcome(POISON, rows), rel_tol=0.05)
 
 
 class TestEnvelopeChecker:
+    """X6 holds every row to the stock floor on both axes."""
+
     def test_holds_within_tolerance(self):
-        outcome = FakeOutcome([row(0.97, 0.96)])
-        assert check_safety_envelope(outcome, rel_tol=0.05) == []
-        assert not check_harm_demonstrated(outcome, rel_tol=0.05)
+        assert violations(row(0.97, 0.96)) == []
 
     def test_power_violation_reported(self):
-        outcome = FakeOutcome([row(0.90, 1.0)])
-        violations = check_safety_envelope(outcome, rel_tol=0.05)
-        assert len(violations) == 1
-        assert "power" in violations[0]
+        found = violations(row(0.90, 1.0))
+        assert len(found) == 1
+        assert "power" in found[0]
 
     def test_throughput_violation_reported(self):
         """Power alone cannot show inflation harm (the delay floor makes
         conservative parameters look great); the checker must watch the
         throughput axis too."""
-        outcome = FakeOutcome([row(5.0, 0.6)])
-        violations = check_safety_envelope(outcome, rel_tol=0.05)
-        assert len(violations) == 1
-        assert "throughput" in violations[0]
-        assert check_harm_demonstrated(outcome, rel_tol=0.05)
+        found = violations(row(5.0, 0.6))
+        assert len(found) == 1
+        assert "throughput" in found[0]
 
     def test_both_axes_can_fail_one_row(self):
-        outcome = FakeOutcome([row(0.5, 0.5)])
-        assert len(check_safety_envelope(outcome, rel_tol=0.05)) == 2
+        assert len(violations(row(0.5, 0.5))) == 2
 
     def test_ratio_properties(self):
         healthy = row(2.0, 1.2, base_power=1.0, base_tput=1.0)
-        assert healthy.power_vs_baseline == pytest.approx(2.0)
-        assert healthy.throughput_vs_baseline == pytest.approx(1.2)
+        assert healthy.power_vs("stock") == pytest.approx(2.0)
+        assert healthy.throughput_vs("stock") == pytest.approx(1.2)
         degenerate = row(1.0, 1.0, base_power=0.0, base_tput=0.0)
-        assert degenerate.power_vs_baseline == float("inf")
+        assert degenerate.power_vs("stock") == float("inf")

@@ -241,7 +241,32 @@ class TestPoisonCommand:
         assert any("phi.guard_rejections" in key for key in counters)
         assert any("phi.context_decisions" in key for key in counters)
         assert manifest["totals"]["guard_rejections"]
-        assert manifest["points"][0]["defence"]["decision_counts"]
+        assert manifest["points"][0]["accounting"]["decision_counts"]
+
+    def test_quarantined_point_fails_the_verb(self, tmp_path, capsys, monkeypatch):
+        """A point that keeps raising is quarantined; its missing row
+        must not let the envelope pass silently."""
+        from repro.experiments import poisoned
+        from repro.telemetry.manifest import load_manifest
+
+        real = poisoned.make_context_corruptor
+
+        def corruptor(modes, rng, severity):
+            if severity == 0.5:
+                raise RuntimeError("injected corruptor failure")
+            return real(modes, rng, severity)
+
+        monkeypatch.setattr(poisoned, "make_context_corruptor", corruptor)
+        manifest_path = str(tmp_path / "poison.json")
+        argv = [
+            "poison", "--preset", "table3-remy", "--severities", "1.0,0.5",
+            "--seeds", "0", "--modes", "garbage", "--duration", "4",
+            "--metrics-out", manifest_path,
+        ]
+        assert main(argv) == 1
+        assert "QUARANTINED" in capsys.readouterr().err
+        (entry,) = load_manifest(manifest_path)["quarantined"]
+        assert entry["params"]["severity"] == 0.5
 
 
 class TestPartitionCommand:
@@ -285,8 +310,8 @@ class TestPartitionCommand:
         counters = manifest["metrics"]["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
         point = manifest["points"][0]
-        assert point["replication"]["failovers"] >= 1
-        assert point["replication"]["anti_entropy_merges"] > 0
+        assert point["accounting"]["failovers"] >= 1
+        assert point["accounting"]["anti_entropy_merges"] > 0
         assert manifest["totals"]["failovers"] >= 1
 
 
