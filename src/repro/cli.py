@@ -27,9 +27,15 @@ hottest event callbacks); ``poison`` and ``partition`` accept
 ``--flightrec-out dump.jsonl`` (flight-record the sweep and dump it on
 a safety-envelope violation).
 
-``cubic``, ``phi``, and ``sweep`` accept ``--metrics-out manifest.json``
+Every run verb (``cubic``, ``phi``, ``incremental``, ``sweep``,
+``poison``, ``partition``) accepts ``--metrics-out manifest.json``
 (telemetry run manifest: merged metrics, per-point provenance) and
-``--trace-out trace.jsonl`` (sim/wall-time trace).
+``--trace-out trace.jsonl``, which arms the flight recorder for the
+command and writes its strict-JSON dump there: at the first anomaly
+(watchdog, invariant, quarantine, crash) with that reason in the
+header, otherwise on success with reason ``trace-out``.
+``repro-phi postmortem`` reads it.  A pooled sweep's trace holds only
+the parent process's events; ``sweep --flightrec-dir`` records per point.
 
 Examples::
 
@@ -43,8 +49,8 @@ import argparse
 import glob
 import json
 import sys
-from contextlib import ExitStack
-from typing import Callable, List, Optional
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,23 +114,43 @@ from .transport.cubic import cubic_sweep_grid
 PRESETS = {preset.name: preset for preset in ALL_PRESETS}
 
 
-def _telemetry_wanted(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "metrics_out", None) or getattr(args, "trace_out", None)
-    )
-
-
-def _write_telemetry_outputs(
+@contextmanager
+def _observed(
     args: argparse.Namespace,
-    tele: "telemetry.TelemetrySession",
-    manifest: dict,
-) -> None:
-    if args.metrics_out:
-        write_manifest(manifest, args.metrics_out)
-        print(f"telemetry manifest: {args.metrics_out}")
-    if args.trace_out:
-        retained = tele.tracer.dump_jsonl(args.trace_out)
-        print(f"telemetry trace: {args.trace_out} ({retained} record(s))")
+) -> Iterator[Tuple[Optional["telemetry.TelemetrySession"],
+                    "flightrec.FlightRecorder"]]:
+    """Arm what the output flags ask for around a command's body.
+
+    Yields ``(session, recorder)``.  ``session`` is a live metrics
+    session under ``--metrics-out`` (the body builds and writes the
+    manifest) and ``None`` otherwise.  ``recorder`` is armed under
+    ``--trace-out`` or ``--flightrec-out`` — one recorder serves both —
+    and is the shared disabled one otherwise.  Under ``--trace-out`` an
+    anomaly dumps to that path with its reason, and a body that ends
+    without one dumps there with reason ``trace-out``.
+    """
+    trace_out = args.trace_out
+    flightrec_out = getattr(args, "flightrec_out", None)
+    with ExitStack() as stack:
+        # The recorder is entered before telemetry.use so the metrics
+        # scope inherits it.
+        if trace_out:
+            rec = stack.enter_context(flightrec.capture(trace_out))
+        elif flightrec_out:
+            rec = stack.enter_context(flightrec.use(autodump_path=flightrec_out))
+        else:
+            rec = flightrec.session()
+        tele = stack.enter_context(telemetry.use()) if args.metrics_out else None
+        yield tele, rec
+    if trace_out:
+        if rec.autodumps == 0:
+            rec.dump(trace_out, reason="trace-out")
+        print(f"trace: {trace_out} (reason {rec.last_dump_reason})")
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    write_manifest(manifest, path)
+    print(f"telemetry manifest: {path}")
 
 
 def _print_profile(profile: Optional[dict], k: int = 10) -> None:
@@ -187,18 +213,14 @@ def _cubic_params(args: argparse.Namespace) -> CubicParams:
 def cmd_cubic(args: argparse.Namespace) -> int:
     preset = _preset_or_exit(args.preset)
     params = _cubic_params(args)
-    with ExitStack() as stack:
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
+    with _observed(args) as (tele, _rec):
         result = run_cubic_fixed(
             params, preset, seed=args.seed, duration_s=args.duration,
             profile=args.profile,
         )
         if tele is not None:
-            _write_telemetry_outputs(
-                args,
-                tele,
+            _write_manifest(
+                args.metrics_out,
                 run_manifest(
                     command="cubic",
                     preset_name=preset.name,
@@ -219,18 +241,14 @@ def cmd_cubic(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     preset = _preset_or_exit(args.preset)
     mode = SharingMode(args.mode)
-    with ExitStack() as stack:
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
+    with _observed(args) as (tele, _rec):
         result = run_phi_cubic(
             REFERENCE_POLICY, preset, mode, seed=args.seed,
             duration_s=args.duration, profile=args.profile,
         )
         if tele is not None:
-            _write_telemetry_outputs(
-                args,
-                tele,
+            _write_manifest(
+                args.metrics_out,
                 run_manifest(
                     command="phi",
                     preset_name=preset.name,
@@ -250,9 +268,21 @@ def cmd_phi(args: argparse.Namespace) -> int:
 def cmd_incremental(args: argparse.Namespace) -> int:
     preset = _preset_or_exit(args.preset)
     optimal = _cubic_params(args)
-    outcome = run_incremental_deployment(
-        optimal, preset, args.fraction, seed=args.seed, duration_s=args.duration
-    )
+    with _observed(args) as (tele, _rec):
+        outcome = run_incremental_deployment(
+            optimal, preset, args.fraction, seed=args.seed,
+            duration_s=args.duration,
+        )
+        if tele is not None:
+            _write_manifest(args.metrics_out, run_manifest(
+                command="incremental",
+                preset_name=preset.name,
+                seed=args.seed,
+                duration_s=args.duration or preset.duration_s,
+                metrics=tele.registry.snapshot(),
+                extra_config={"params": optimal.as_dict(),
+                              "fraction": args.fraction},
+            ))
     print(f"modified fraction: {outcome.modified_fraction:.0%}")
     for label, metrics in [
         ("modified", outcome.modified),
@@ -349,10 +379,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         resilience=_sweep_resilience(args),
         watchdog=_sweep_watchdog(args),
     )
-    with ExitStack() as stack:
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
+    with _observed(args) as (tele, _rec):
         parallel_outcome = run_parameter_sweep(
             preset,
             grid,
@@ -371,9 +398,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             snapshots = [tele.registry.snapshot()]
             if parallel_outcome.telemetry is not None:
                 snapshots.append(parallel_outcome.telemetry)
-            _write_telemetry_outputs(
-                args,
-                tele,
+            _write_manifest(
+                args.metrics_out,
                 sweep_manifest(
                     parallel_outcome,
                     metrics=telemetry.merge_snapshots(snapshots),
@@ -495,17 +521,7 @@ def _perturbation_command(
     over it), a ``--serial-check`` difference, or an envelope violation
     (under ``--expect-harm``: on an envelope that holds)."""
     sweep = dict(seeds=args.seeds, duration_s=args.duration, **options)
-    with ExitStack() as stack:
-        rec = None
-        if args.flightrec_out:
-            # Entered before telemetry.use so the metrics scope inherits
-            # the recorder (serial sweeps run in this process).
-            rec = stack.enter_context(
-                flightrec.use(autodump_path=args.flightrec_out)
-            )
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
+    with _observed(args) as (tele, rec):
         outcome = run_perturbation_sweep(
             perturbation, REFERENCE_POLICY, preset, grid,
             n_workers=args.workers, **sweep,
@@ -514,7 +530,7 @@ def _perturbation_command(
             metrics = telemetry.merge_snapshots(
                 [tele.registry.snapshot(), outcome.telemetry or {}]
             )
-            _write_telemetry_outputs(args, tele, perturbation_manifest(
+            _write_manifest(args.metrics_out, perturbation_manifest(
                 outcome, metrics=metrics, extra_config=extra_config,
             ))
 
@@ -559,9 +575,9 @@ def _perturbation_command(
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         reason = f"envelope:{perturbation.name}:{len(violations)}"
-        dumped = rec.maybe_autodump(reason) if rec is not None else None
-        if dumped:
-            print(f"flight recording: {dumped}", file=sys.stderr)
+        for path in filter(None, (args.flightrec_out, args.trace_out)):
+            rec.dump(path, reason=reason)
+            print(f"flight recording: {path}", file=sys.stderr)
         return 1
     print(holds)
     return 0
@@ -815,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics-out", default=None, dest="metrics_out",
                        help="write a telemetry run manifest (JSON) here")
         p.add_argument("--trace-out", default=None, dest="trace_out",
-                       help="write the sim/wall-time trace (JSONL) here")
+                       help="arm the flight recorder; write its dump (JSONL, "
+                            "readable by 'postmortem') here")
 
     def add_run_args(p, with_params=True):
         p.add_argument("--preset", default="table3-remy")

@@ -78,8 +78,10 @@ def use(
 ) -> Iterator[FlightRecorder]:
     """Scoped recording: activate a (new or given) recorder, restore after.
 
-    The ambient metrics registry and tracer are preserved — recording
-    composes with :func:`repro.telemetry.use` in either nesting order.
+    The ambient metrics registry is preserved — recording composes with
+    :func:`repro.telemetry.use` in either nesting order.  This is what
+    the CLI's ``--trace-out`` arms: the command's trace is this
+    recorder's dump.
     """
     base = _telemetry.session()
     chosen = recorder or FlightRecorder(
@@ -89,7 +91,7 @@ def use(
         fault_capacity=fault_capacity,
         autodump_path=autodump_path,
     )
-    combined = _telemetry.TelemetrySession(base.registry, base.tracer, chosen)
+    combined = _telemetry.TelemetrySession(base.registry, chosen)
     with _telemetry.use(combined):
         yield chosen
 

@@ -360,18 +360,25 @@ class FlightRecorder:
         if directory:
             os.makedirs(directory, exist_ok=True)
         tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            # allow_nan=False: strict JSON, like every other artifact in
-            # the repo (journals, manifests, check reports).
-            handle.write(
-                json.dumps(self.header(reason=reason, sim_time=sim_time),
-                           allow_nan=False) + "\n"
-            )
-            for record in records:
-                handle.write(json.dumps(record, allow_nan=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as handle:
+                # allow_nan=False: strict JSON, like every other artifact
+                # in the repo (journals, manifests, check reports).
+                handle.write(
+                    json.dumps(self.header(reason=reason, sim_time=sim_time),
+                               allow_nan=False) + "\n"
+                )
+                for record in records:
+                    handle.write(json.dumps(record, allow_nan=False) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            # A record that is not strict JSON (or a failed write) must
+            # not leave a half-written temp file beside the artifact.
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+            raise
         self.last_dump_reason = reason
         return len(records)
 

@@ -104,12 +104,6 @@ def record_violation(
         tele.registry.counter(
             "simcheck.violations", invariant=violation.invariant
         ).inc()
-        tele.tracer.event(
-            "simcheck.violation",
-            sim_time=violation.sim_time,
-            invariant=violation.invariant,
-            subject=violation.subject,
-        )
     # Dump the flight-recorder window before the violation unwinds the
     # stack (no-op unless a recorder with an autodump path is active).
     tele.flightrec.maybe_autodump(

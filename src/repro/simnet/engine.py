@@ -165,12 +165,6 @@ class SimWatchdog:
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("sim.watchdog_trips", reason=reason).inc()
-            tele.tracer.event(
-                "sim.watchdog_trip",
-                sim_time=sim.now,
-                reason=reason,
-                events_processed=sim.events_processed,
-            )
         # A tripped watchdog is an anomaly: snapshot the flight-recorder
         # rings before SimulationStalled unwinds the stack.
         tele.flightrec.maybe_autodump(f"watchdog:{reason}", sim_time=sim.now)

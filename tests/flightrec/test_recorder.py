@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -14,6 +15,17 @@ from repro.flightrec.recorder import (
     iter_layer,
     load_dump,
 )
+from repro.simnet import (
+    DropTailQueue,
+    DumbbellConfig,
+    DumbbellTopology,
+    FlowSpec,
+    Host,
+    Link,
+    Simulator,
+    make_data_packet,
+)
+from repro.transport import CubicSender, TcpSink
 
 
 class TestRings:
@@ -32,6 +44,26 @@ class TestRings:
         assert rec.phi_emitted == 5 and rec.phi_evicted == 4
         assert rec.fault_emitted == 5 and rec.fault_evicted == 3
         assert len(rec) == 2 + 3 + 1 + 2
+
+    @pytest.mark.parametrize(
+        "capacity, emitted",
+        [(3, 3), (4, 23)],
+        ids=["exact_fill_evicts_nothing", "eviction_counts_across_many_wraps"],
+    )
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_ring_keeps_newest_window(self, layer, capacity, emitted):
+        rec = FlightRecorder(**{f"{layer}_capacity": capacity})
+        emit = getattr(rec, layer)
+        key = 1 if layer == "transport" else "subject"  # flow id / component
+        for i in range(emitted):
+            emit("tick", float(i), key)
+        assert getattr(rec, f"{layer}_emitted") == emitted
+        assert getattr(rec, f"{layer}_evicted") == max(0, emitted - capacity)
+        assert len(rec) == min(emitted, capacity)
+        # The ring keeps the newest window, oldest first.
+        assert [r["t"] for r in rec.records()] == [
+            float(i) for i in range(max(0, emitted - capacity), emitted)
+        ]
 
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +143,7 @@ class TestDump:
         with pytest.raises(ValueError):
             rec.dump(str(path), reason="unit")
         assert not path.exists()
+        assert not os.path.exists(str(path) + ".tmp")
 
     def test_dump_is_strict_jsonl(self, tmp_path):
         rec = FlightRecorder()
@@ -212,3 +245,50 @@ class TestScoping:
         with flightrec.capture(str(path)) as rec:
             rec.simnet("enqueue", 0.0, "link")
         assert not path.exists()
+
+
+class TestInstrumentation:
+    def test_enqueue_dequeue_drop_recorded(self):
+        sim = Simulator()
+        link = Link(sim, "bottleneck", 8_000.0, 0.0,
+                    DropTailQueue(1500, lambda: sim.now))
+        sink = Host("dst")
+        sink.set_default_handler(lambda packet: None)
+        link.attach(sink)
+        with flightrec.use() as rec:
+            for seq in range(3):  # on the wire, queued, dropped
+                link.send(make_data_packet(1, "a", "dst", seq, 1000))
+            sim.run()
+        kinds = [r["kind"] for r in iter_layer(rec.records(), "simnet")]
+        assert sorted(kinds) == ["dequeue", "drop", "enqueue",
+                                 "transmit", "transmit"]
+        assert kinds.index("enqueue") < kinds.index("dequeue")
+
+    def test_cwnd_trajectory_recorded(self):
+        sim = Simulator()
+        # A one-BDP buffer makes the flow lossy, so its window must fall.
+        top = DumbbellTopology(sim, DumbbellConfig(
+            n_senders=1, bottleneck_bandwidth_bps=10_000_000.0, rtt_s=0.06,
+            buffer_bdp_multiple=1.0,
+        ))
+        spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
+        TcpSink(sim, top.receivers[0], spec)
+        with flightrec.use() as rec:
+            sender = CubicSender(sim, top.senders[0], spec, 10**9)
+            sender.start()
+            sim.run(until=10.0)
+        trajectory = [
+            (r["t"], r["cwnd"])
+            for r in iter_layer(rec.records(), "transport")
+            if r["kind"] == "cwnd" and r["flow_id"] == spec.flow_id
+        ]
+        assert len(trajectory) > 10
+        times = [t for t, _w in trajectory]
+        assert times == sorted(times)
+        values = [w for _t, w in trajectory]
+        peak = values.index(max(values))
+        # Slow start grows the window beyond its initial value ...
+        assert values[peak] > values[0]
+        # ... and a loss later brings it back down.
+        assert min(values[peak:]) < values[peak]
+        assert sender.stats.fast_retransmits + sender.stats.timeouts > 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import telemetry
+from repro import flightrec, telemetry
+from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BreakerState,
     ChannelConfig,
@@ -163,7 +164,7 @@ class TestChannelTelemetry:
         return sim, channel
 
     def test_rpc_metrics_for_mixed_outcomes(self):
-        with telemetry.use() as tele:
+        with flightrec.use() as rec, telemetry.use() as tele:
             sim, channel = self._channel(max_retries=1, timeout_s=0.1)
             channel.call_lookup()  # ok
             channel.mark_down()
@@ -175,13 +176,15 @@ class TestChannelTelemetry:
         assert counters["phi.rpc_retries{op=lookup}"] == 1.0
         histogram = snapshot["histograms"]["phi.rpc_latency_s{op=lookup}"]
         assert histogram["count"] == 2
-        # Failure events land in the trace with both clocks.
+        # The failure lands in the recorder's phi ring at its sim time.
         failures = [
-            r for r in tele.tracer.records() if r["name"] == "phi.rpc_failure"
+            r for r in iter_layer(rec.records(), "phi")
+            if r["kind"] == "rpc" and r["detail"]["status"] != "ok"
         ]
         assert len(failures) == 1
-        assert failures[0]["fields"]["status"] == "server_down"
-        assert failures[0]["sim_time"] == sim.now
+        assert failures[0]["detail"]["status"] == "server_down"
+        assert failures[0]["detail"]["attempts"] == 2
+        assert failures[0]["t"] == sim.now
 
     def test_channel_works_with_telemetry_disabled(self):
         assert not telemetry.session().enabled

@@ -123,17 +123,18 @@ class TestTelemetryOutputs:
     MINI = TestSweepCommand.MINI
 
     def test_sweep_writes_manifest_and_trace(self, tmp_path, capsys):
-        import json
-
         manifest_path = str(tmp_path / "manifest.json")
         trace_path = str(tmp_path / "trace.jsonl")
+        # One worker: the points run in this process, so the trace (the
+        # parent's flight recording) holds their events.
         assert main(
             self.MINI
-            + ["--metrics-out", manifest_path, "--trace-out", trace_path]
+            + ["--workers", "1",
+               "--metrics-out", manifest_path, "--trace-out", trace_path]
         ) == 0
         out = capsys.readouterr().out
         assert "telemetry manifest:" in out
-        assert "telemetry trace:" in out
+        assert f"trace: {trace_path} (reason trace-out)" in out
 
         from repro.telemetry.manifest import load_manifest, validate_manifest
 
@@ -145,13 +146,12 @@ class TestTelemetryOutputs:
         assert manifest["metrics"]["counters"]["sim.events"] > 0
         assert "runner.point_wall_s" in manifest["metrics"]["histograms"]
 
-        lines = [
-            json.loads(line)
-            for line in open(trace_path, encoding="utf-8")
-        ]
-        assert lines[0]["kind"] == "header"
-        names = {line.get("name") for line in lines[1:]}
-        assert "runner.sweep_complete" in names
+        from repro.flightrec.recorder import LAYERS, iter_layer, load_dump
+
+        header, records = load_dump(trace_path)
+        assert header["reason"] == "trace-out"
+        assert set(header["layers"]) == set(LAYERS)
+        assert any(iter_layer(records, "transport"))
 
     def test_cubic_writes_manifest(self, tmp_path, capsys):
         from repro.telemetry.manifest import load_manifest, validate_manifest
@@ -168,10 +168,53 @@ class TestTelemetryOutputs:
         assert manifest["metrics"]["counters"]["sim.events"] > 0
 
     def test_run_without_flags_leaves_telemetry_disabled(self, capsys):
-        from repro import telemetry
+        from repro import flightrec, telemetry
 
         assert main(["cubic", "--duration", "5", "--seed", "1"]) == 0
         assert not telemetry.session().enabled
+        assert not flightrec.session().enabled
+
+    def test_cubic_trace_is_a_postmortem_ready_dump(self, tmp_path, capsys):
+        import json
+
+        run = ["cubic", "--duration", "5", "--seed", "1"]
+        assert main(run) == 0
+        plain = capsys.readouterr().out
+        trace_path = str(tmp_path / "t.jsonl")
+        assert main(run + ["--trace-out", trace_path]) == 0
+        traced = capsys.readouterr().out.splitlines()
+        # Recording does not perturb the run: same metrics line.
+        assert traced[-1] == plain.splitlines()[-1]
+        assert main(["postmortem", trace_path, "--json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)
+        assert analysis["anomaly"]["reason"] == "trace-out"
+        assert analysis["summary"]["flows"] >= 1
+
+    def test_incremental_honours_output_flags(self, tmp_path, capsys):
+        from repro.flightrec.recorder import load_dump
+        from repro.telemetry.manifest import load_manifest
+
+        manifest_path = str(tmp_path / "m.json")
+        trace_path = str(tmp_path / "t.jsonl")
+        assert main(["incremental", "--duration", "5",
+                     "--metrics-out", manifest_path,
+                     "--trace-out", trace_path]) == 0
+        assert load_manifest(manifest_path)["command"] == "incremental"
+        header, records = load_dump(trace_path)
+        assert header["reason"] == "trace-out" and records
+
+    def test_trace_carries_the_anomaly_reason(self, tmp_path, capsys):
+        trace_path = str(tmp_path / "t.jsonl")
+        assert main(
+            self.MINI
+            + ["--workers", "1", "--retries", "1", "--max-sim-events", "500",
+               "--trace-out", trace_path]
+        ) == 0
+        from repro.flightrec.recorder import load_dump
+
+        header, records = load_dump(trace_path)
+        assert header["reason"].startswith("quarantine:")
+        assert records
 
     def test_summarize_round_trip(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "manifest.json")
@@ -242,6 +285,22 @@ class TestPoisonCommand:
         assert any("phi.context_decisions" in key for key in counters)
         assert manifest["totals"]["guard_rejections"]
         assert manifest["points"][0]["accounting"]["decision_counts"]
+
+    def test_envelope_violation_dumps_both_recordings(self, tmp_path, capsys):
+        from repro.flightrec.recorder import load_dump
+
+        flightrec_out = str(tmp_path / "envelope.jsonl")
+        trace_out = str(tmp_path / "trace.jsonl")
+        # An impossible tolerance forces a violation; one recorder serves
+        # both flags and both files carry the envelope reason.
+        assert main(self.MINI + ["--tolerance", "-1000",
+                                 "--flightrec-out", flightrec_out,
+                                 "--trace-out", trace_out]) == 1
+        assert "SAFETY ENVELOPE VIOLATED" in capsys.readouterr().err
+        for path in (flightrec_out, trace_out):
+            header, records = load_dump(path)
+            assert header["reason"].startswith("envelope:poison:")
+            assert records
 
     def test_quarantined_point_fails_the_verb(self, tmp_path, capsys, monkeypatch):
         """A point that keeps raising is quarantined; its missing row
